@@ -248,6 +248,11 @@ func TestClusterErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"].(string), "margin") {
 		t.Fatalf("eps > margin: %d %v", resp.StatusCode, body)
 	}
+	// Zero-dimension points are refused up front, not sharded.
+	resp, _ = doJSON(t, http.MethodPut, coord.URL+"/datasets/z", map[string]any{"points": [][]float64{{}, {}}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("zero-dim upload: %d", resp.StatusCode)
+	}
 	// Unknown dataset.
 	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/datasets/nope/selfjoin", map[string]any{"eps": 0.1})
 	if resp.StatusCode != http.StatusNotFound {
@@ -257,6 +262,11 @@ func TestClusterErrorPaths(t *testing.T) {
 	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/join", map[string]any{"a": "d", "b": "d", "eps": 0.1})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("/join in coordinator mode: %d", resp.StatusCode)
+	}
+	// A body without "b" is still a two-set join, never a self-join of a.
+	resp, _ = doJSON(t, http.MethodPost, coord.URL+"/join", map[string]any{"a": "d", "eps": 0.1})
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("/join without b in coordinator mode: %d", resp.StatusCode)
 	}
 	// Appends are distributed now: the batch routes to its shards and
 	// the reported length grows.
@@ -313,36 +323,5 @@ func TestCoordinatorHealthzDegrades(t *testing.T) {
 	r.Body.Close()
 	if body["status"] != "degraded" {
 		t.Fatalf("healthz with dead worker = %v", body)
-	}
-}
-
-func TestDebugVarsCounters(t *testing.T) {
-	ts, done := newTestServer(t)
-	defer done()
-	putPoints(t, ts.URL, "a", [][]float64{{0, 0}, {1, 1}})
-	// One error: selfjoin on a missing dataset.
-	resp, _ := doJSON(t, http.MethodPost, ts.URL+"/datasets/zzz/selfjoin", map[string]any{"eps": 0.1})
-	resp.Body.Close()
-
-	r, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Requests map[string]int `json:"requests"`
-		Errors   map[string]int `json:"errors"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if vars.Requests["PUT /datasets/{name}"] != 1 {
-		t.Errorf("requests = %v, want 1 PUT", vars.Requests)
-	}
-	if vars.Requests["POST /datasets/{name}/selfjoin"] != 1 || vars.Errors["POST /datasets/{name}/selfjoin"] != 1 {
-		t.Errorf("selfjoin counters = %v / %v, want 1 request and 1 error", vars.Requests, vars.Errors)
-	}
-	if len(vars.Errors) != 1 {
-		t.Errorf("errors = %v, want only the selfjoin miss", vars.Errors)
 	}
 }

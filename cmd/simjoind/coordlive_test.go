@@ -29,7 +29,7 @@ func (w *liveWorker) start(addr string) {
 	if err != nil {
 		w.t.Fatalf("store.Open(%s): %v", w.dir, err)
 	}
-	srv.attachStore(cat)
+	srv.b.(*localBackend).attachStore(cat)
 	var l net.Listener
 	for i := 0; ; i++ {
 		if l, err = net.Listen("tcp", addr); err == nil {
@@ -62,7 +62,7 @@ func (w *liveWorker) restart() {
 // startLiveCluster boots n durable restartable workers and a coordinator
 // over them, returning the coordinator server object as well so tests
 // can drive its shutdown path directly.
-func startLiveCluster(t *testing.T, n int, margin float64) (*httptest.Server, *coordServer, []*liveWorker) {
+func startLiveCluster(t *testing.T, n int, margin float64) (*httptest.Server, *api, []*liveWorker) {
 	t.Helper()
 	workers := make([]*liveWorker, n)
 	urls := make([]string, n)
@@ -282,7 +282,7 @@ func TestCoordWatchShutdown(t *testing.T) {
 	ws := openWatch(t, coord.URL, "d", map[string]any{"eps": 0.1}, 0)
 	defer ws.close()
 	ws.hello()
-	cs.shutdownWatches()
+	cs.b.shutdown()
 	if reason := ws.waitEnd(); reason != "server shutting down" {
 		t.Fatalf("end reason = %q, want %q", reason, "server shutting down")
 	}

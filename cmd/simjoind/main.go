@@ -18,7 +18,6 @@
 //	GET    /healthz                   liveness + dataset count
 //	GET    /metrics                   Prometheus text: per-route counters + latency histograms
 //	GET    /datasets/{name}/explain   ?eps=… EXPLAIN: resolved engine + size prediction, no execution
-//	GET    /debug/vars                per-route request/error counters (legacy JSON)
 //	GET    /debug/traces              recent request traces as span trees (?trace=<id>, ?limit=N)
 //	GET    /debug/traces/{id}         one trace's spans merged (coordinator: stitched across the fleet)
 //	GET    /debug/queries             per-query journal: estimate vs actual, timings, trace IDs
@@ -142,6 +141,7 @@ func run(argv []string) int {
 	// drain: it terminates long-lived watch streams with a terminal
 	// NDJSON event so the drain isn't held open by standing queries.
 	var onStop func()
+	var a *api
 	switch {
 	case *gatewayMode:
 		if *workers != "" {
@@ -170,25 +170,15 @@ func run(argv []string) int {
 			logger.Error("parsing -workers", "error", err)
 			return 2
 		}
-		cs := newCoordServer(cluster.New(urls, *margin, nil))
-		cs.debug = *debug
-		cs.log = logger
-		cs.maxBody = *maxBody
-		cs.maxPairs = *maxPairs
-		cs.tracer = trace.New(*traceRing)
-		h = cs.handler()
-		onStop = cs.shutdownWatches
+		m := newMetrics()
+		a = newAPI(m, newClusterBackend(m, cluster.New(urls, *margin, nil)))
 		logger.Info("simjoind coordinating", "workers", len(urls), "addr", *addr, "margin", *margin)
 	default:
-		srv := newServer()
-		srv.debug = *debug
-		srv.log = logger
-		srv.maxBody = *maxBody
-		srv.maxPairs = *maxPairs
-		srv.tracer = trace.New(*traceRing)
-		// Set before attachStore and -load run, so recovered and
-		// preloaded datasets get sketches (or not) like uploaded ones.
-		srv.sketch = *sketchOn
+		// -sketch applies before the store attaches and -load runs, so
+		// recovered and preloaded datasets get sketches (or not) like
+		// uploaded ones.
+		m := newMetrics()
+		lb := newLocalBackend(m, *sketchOn)
 		if *dataDir != "" {
 			mode, interval, err := store.ParseSync(*fsyncFlag)
 			if err != nil {
@@ -199,14 +189,14 @@ func run(argv []string) int {
 				Sync:         mode,
 				SyncInterval: interval,
 				CompactBytes: *compactBytes,
-				Hooks:        storeHooks(srv.m),
+				Hooks:        storeHooks(m),
 			})
 			if err != nil {
 				logger.Error("opening data directory", "dir", *dataDir, "error", err)
 				return 1
 			}
 			defer cat.Close()
-			srv.attachStore(cat)
+			lb.attachStore(cat)
 			logRecovery(logger, *dataDir, cat.Recovery())
 		}
 		for _, spec := range loads {
@@ -220,18 +210,23 @@ func run(argv []string) int {
 				logger.Error("loading dataset", "path", path, "error", err)
 				return 1
 			}
-			if srv.st != nil {
-				if err := srv.st.Put(context.Background(), name, ds.Internal()); err != nil {
-					logger.Error("persisting preloaded dataset", "name", name, "error", err)
-					return 1
-				}
+			if _, err := lb.register(context.Background(), name, ds); err != nil {
+				logger.Error("persisting preloaded dataset", "name", name, "error", err)
+				return 1
 			}
-			srv.sets[name] = srv.newEntry(ds)
 			logger.Info("loaded dataset", "name", name, "points", ds.Len(), "dims", ds.Dims())
 		}
-		h = srv.handler()
-		onStop = srv.live.Shutdown
+		a = newAPI(m, lb)
 		logger.Info("simjoind listening", "addr", *addr, "data", *dataDir)
+	}
+	// Worker and coordinator serve the same API; only the backend differs.
+	if a != nil {
+		a.debug = *debug
+		a.log = logger
+		a.maxBody = *maxBody
+		a.maxPairs = *maxPairs
+		a.tracer = trace.New(*traceRing)
+		h, onStop = a.handler(), a.b.shutdown
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
-	"time"
 
 	"simjoin/internal/obsv"
 )
@@ -11,9 +9,8 @@ import (
 // metrics is the server's observability surface: per-route request and
 // error counters, a per-route latency histogram, and dedicated streaming
 // counters (NDJSON responses bypass response buffering, so their pair
-// volume is only visible here). Served two ways: Prometheus text at
-// GET /metrics, and the legacy /debug/vars JSON shape kept for existing
-// scrapers. Each server instance owns its own registry rather than a
+// volume is only visible here), served as Prometheus text at GET
+// /metrics. Each server instance owns its own registry rather than a
 // process global, so tests (and a worker + coordinator sharing one
 // process) can run many servers without duplicate-name collisions.
 type metrics struct {
@@ -161,32 +158,3 @@ func (w *statusWriter) Flush() {
 // optional interfaces (SetWriteDeadline, used by watch streams) through
 // the middleware.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// wrap counts every request and every ≥ 400 response under key, and
-// observes the handler's wall time in the route's latency histogram.
-func (m *metrics) wrap(key string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		m.requests.With(key).Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		m.latency.With(key).Observe(time.Since(start).Seconds())
-		if sw.status >= 400 {
-			m.errors.With(key).Inc()
-		}
-	}
-}
-
-// promHandler serves the registry as Prometheus text exposition.
-func (m *metrics) promHandler() http.Handler { return m.reg.Handler() }
-
-// varsHandler serves the legacy /debug/vars JSON shape — per-route
-// request and error counts — from the same counters /metrics exposes.
-func (m *metrics) varsHandler(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	out := map[string]map[string]int64{
-		"requests": m.requests.Snapshot(),
-		"errors":   m.errors.Snapshot(),
-	}
-	_ = json.NewEncoder(w).Encode(out)
-}

@@ -54,6 +54,10 @@ func TestMetricsEndpointWorker(t *testing.T) {
 			t.Errorf("metrics missing %q\n---\n%s", want, text)
 		}
 	}
+	// Only the missed selfjoin has an error count.
+	if n := strings.Count(text, "\nsimjoind_errors_total{"); n != 1 {
+		t.Errorf("%d routes carry an error count, want only the selfjoin miss\n---\n%s", n, text)
+	}
 }
 
 func TestMetricsStreamCounters(t *testing.T) {

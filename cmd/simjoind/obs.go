@@ -20,13 +20,13 @@ const defaultTraceCapacity = 128
 // caller's trace when the request carries a W3C traceparent header, a
 // fresh trace otherwise — and stores it in the request context so
 // handlers, the join library and the coordinator's fan-out all record
-// under it. Inside that it applies the metrics wrap (request/error
-// counters, latency histogram), and when the handler returns it emits
-// one structured access-log line carrying trace_id/span_id, so logs and
-// /debug/traces cross-link on the IDs.
+// under it. It counts every request and every ≥ 400 response by route,
+// observes the handler's wall time in the route's latency histogram,
+// and emits one structured access-log line carrying trace_id/span_id,
+// so logs and /debug/traces cross-link on the IDs.
 func instrument(m *metrics, tr *trace.Tracer, logger *slog.Logger, pattern string, h http.HandlerFunc) http.HandlerFunc {
-	inner := m.wrap(pattern, h)
 	return func(w http.ResponseWriter, r *http.Request) {
+		m.requests.With(pattern).Inc()
 		sp := tr.StartRemote(pattern, r.Header.Get("traceparent"))
 		sp.SetAttr("method", r.Method)
 		sp.SetAttr("path", r.URL.Path)
@@ -38,8 +38,12 @@ func instrument(m *metrics, tr *trace.Tracer, logger *slog.Logger, pattern strin
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		inner(sw, r)
+		h(sw, r)
 		elapsed := time.Since(start)
+		m.latency.With(pattern).Observe(elapsed.Seconds())
+		if sw.status >= 400 {
+			m.errors.With(pattern).Inc()
+		}
 		sp.SetAttr("status", strconv.Itoa(sw.status))
 		sp.End()
 		if logger == nil {
@@ -106,23 +110,6 @@ func tracesHandler(tr *trace.Tracer) http.HandlerFunc {
 			traces = []trace.TraceData{}
 		}
 		writeJSON(w, traces)
-	}
-}
-
-// traceByIDHandler serves GET /debug/traces/{id}: every span the daemon
-// retains under one trace ID, merged across its retained trace views
-// into a single TraceData. On a worker this is the local half of
-// distributed stitching; the coordinator's variant fans out over the
-// fleet (see handleStitchedTrace).
-func traceByIDHandler(tr *trace.Tracer) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		spans := trace.Collect(tr.Traces(), id)
-		if len(spans) == 0 {
-			httpError(w, http.StatusNotFound, "no trace %q retained", id)
-			return
-		}
-		writeJSON(w, trace.Stitch(id, spans))
 	}
 }
 

@@ -8,18 +8,18 @@ import (
 	"simjoin/internal/store"
 )
 
-// attachStore wires a recovered catalog into the server: every recovered
-// dataset becomes a served entry, mutating handlers start teeing through
-// the store, and the live WAL size becomes a scrape-time gauge.
-func (s *server) attachStore(cat *store.Catalog) {
-	s.st = cat
-	s.rec = cat.Recovery()
+// attachStore wires a recovered catalog into the worker: every recovered
+// dataset becomes a served entry, mutations start teeing through the
+// store, and the live WAL size becomes a scrape-time gauge.
+func (b *localBackend) attachStore(cat *store.Catalog) {
+	b.st = cat
+	b.rec = cat.Recovery()
 	for name, ds := range cat.Datasets() {
 		// newEntry rebuilds each dataset's join-size sketch from the
 		// recovered points, so estimates survive restarts too.
-		s.sets[name] = s.newEntry(simjoin.WrapDataset(ds))
+		b.sets[name] = b.newEntry(simjoin.WrapDataset(ds))
 	}
-	s.m.reg.NewGaugeFunc("simjoind_store_wal_bytes",
+	b.m.reg.NewGaugeFunc("simjoind_store_wal_bytes",
 		"Current total write-ahead log size across datasets.",
 		func() float64 { return float64(cat.WALBytes()) })
 }

@@ -21,7 +21,7 @@ import (
 // as `simjoind -data dir` would. The catalog is NOT closed on cleanup —
 // abandoning it mid-flight is exactly the hard-kill the recovery tests
 // simulate.
-func newPersistentServer(t *testing.T, dir string, opt store.Options) (*httptest.Server, *server) {
+func newPersistentServer(t *testing.T, dir string, opt store.Options) (*httptest.Server, *localBackend) {
 	t.Helper()
 	srv := newServer()
 	opt.Hooks = storeHooks(srv.m)
@@ -29,10 +29,11 @@ func newPersistentServer(t *testing.T, dir string, opt store.Options) (*httptest
 	if err != nil {
 		t.Fatalf("store.Open(%s): %v", dir, err)
 	}
-	srv.attachStore(cat)
+	lb := srv.b.(*localBackend)
+	lb.attachStore(cat)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
-	return ts, srv
+	return ts, lb
 }
 
 // selfJoinPairs runs a selfjoin and returns its pair set in a canonical

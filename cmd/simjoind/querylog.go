@@ -10,21 +10,45 @@ import (
 	"simjoin/internal/obsv/trace"
 )
 
-// recordQuery journals one finished query and charges the query metrics
-// off the same classification the journal stored: the slow counter when
-// the journal marked it slow, and the per-algorithm latency histogram
-// always ("none" when no engine ran, e.g. a rejected query).
-func recordQuery(l *querylog.Log, m *metrics, rec querylog.Record) querylog.Record {
-	rec = l.Add(rec)
+// record journals one finished query and charges the query metrics off
+// the same classification the journal stored: the slow counter when the
+// journal marked it slow, and the per-algorithm latency histogram always
+// ("none" when no engine ran, e.g. a rejected query).
+func (a *api) record(rec querylog.Record) {
+	rec = a.qlog.Add(rec)
 	if rec.Slow {
-		m.querySlow.Inc()
+		a.m.querySlow.Inc()
 	}
 	algo := rec.Algorithm
 	if algo == "" {
 		algo = "none"
 	}
-	m.queryLatency.With(algo).Observe(float64(rec.ElapsedNS) / 1e9)
-	return rec
+	a.m.queryLatency.With(algo).Observe(float64(rec.ElapsedNS) / 1e9)
+}
+
+// recordFailure journals a query that never produced run stats — a
+// rejection, or a run that errored — with wall time measured from start.
+func (a *api) recordFailure(rec querylog.Record, start time.Time, o querylog.Outcome, err error) {
+	rec.Outcome = o
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	rec.ElapsedNS = int64(time.Since(start))
+	a.record(rec)
+}
+
+// recordPoint journals a served range or KNN query (eps is the range
+// radius, 0 for KNN) that returned n results.
+func (a *api) recordPoint(r *http.Request, kind string, eps float64, m simjoin.Metric, n int, fan *fanout, start time.Time) {
+	rec := querylog.Record{
+		Kind: kind, Dataset: r.PathValue("name"), Eps: eps, Metric: m.String(),
+		EstimatedPairs: -1, ActualPairs: int64(n),
+		ElapsedNS: int64(time.Since(start)), TraceID: traceIDOf(r), Outcome: querylog.OutcomeOK,
+	}
+	if fan != nil {
+		rec.Shards = fan.Shards
+	}
+	a.record(rec)
 }
 
 // queriesHandler serves GET /debug/queries: the journal newest first
@@ -65,31 +89,26 @@ func traceIDOf(r *http.Request) string {
 	return ""
 }
 
-// recordFailure journals a query that never produced run stats — a
-// rejection, a degraded run that errored, a validation failure — with
-// wall time measured from start.
-func recordFailure(l *querylog.Log, m *metrics, rec querylog.Record, start time.Time, o querylog.Outcome, err error) {
-	rec.Outcome = o
-	if err != nil {
-		rec.Error = err.Error()
+// fillFromRun copies a finished run's counters into rec: the result
+// size, wall time and fan-out width, plus — from an in-process run —
+// the resolved engine, work counters and phase timings. A library-side
+// estimate (streaming runs under AlgorithmAuto fill one) backfills a
+// record that carried none of its own.
+func fillFromRun(rec *querylog.Record, run joinRun) {
+	js := run.stats
+	rec.ActualPairs = run.total
+	rec.ElapsedNS = int64(run.elapsed)
+	if run.fan != nil {
+		rec.Shards = run.fan.Shards
 	}
-	rec.ElapsedNS = int64(time.Since(start))
-	recordQuery(l, m, rec)
-}
-
-// fillFromRun copies a finished run's counters into rec: the resolved
-// engine, work counters and phase timings from the detailed stats, the
-// result size from the run summary. A library-side estimate (streaming
-// runs under AlgorithmAuto fill one) backfills a record that carried
-// none of its own.
-func fillFromRun(rec *querylog.Record, js simjoin.JoinStats, results int64) {
+	if js.Algorithm == "" {
+		return
+	}
 	rec.Algorithm = string(js.Algorithm)
-	rec.ActualPairs = results
 	rec.DistComps = js.DistComps
 	rec.Candidates = js.Candidates
 	rec.BuildNS = int64(js.BuildTime)
 	rec.ProbeNS = int64(js.ProbeTime)
-	rec.ElapsedNS = int64(js.Elapsed)
 	if rec.EstimatedPairs < 0 && js.EstimatedPairs >= 0 {
 		rec.EstimatedPairs = js.EstimatedPairs
 	}

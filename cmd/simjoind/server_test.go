@@ -193,6 +193,9 @@ func TestErrorPaths(t *testing.T) {
 		"join missing b": func() (*http.Response, map[string]any) {
 			return doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "b": "zz", "eps": 0.1})
 		},
+		"join without b": func() (*http.Response, map[string]any) {
+			return doJSON(t, http.MethodPost, ts.URL+"/join", map[string]any{"a": "a", "eps": 0.1})
+		},
 		"range dims mismatch": func() (*http.Response, map[string]any) {
 			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/range", map[string]any{"point": []float64{0}, "radius": 0.1})
 		},
@@ -207,6 +210,12 @@ func TestErrorPaths(t *testing.T) {
 		},
 		"upload ragged": func() (*http.Response, map[string]any) {
 			return doJSON(t, http.MethodPut, ts.URL+"/datasets/x", map[string]any{"points": []any{[]float64{1}, []float64{1, 2}}})
+		},
+		"upload zero dims": func() (*http.Response, map[string]any) {
+			return doJSON(t, http.MethodPut, ts.URL+"/datasets/x", map[string]any{"points": [][]float64{{}, {}}})
+		},
+		"append zero dims": func() (*http.Response, map[string]any) {
+			return doJSON(t, http.MethodPost, ts.URL+"/datasets/a/points", map[string]any{"points": [][]float64{{}}})
 		},
 	} {
 		resp, body := call()

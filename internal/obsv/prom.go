@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,7 +15,7 @@ import (
 
 // Registry holds a fixed set of metrics and renders them in the
 // Prometheus text exposition format (version 0.0.4). It is deliberately
-// tiny — counters, histograms and gauge callbacks, one optional label —
+// tiny — counters, histograms and gauge callbacks, optionally labelled —
 // because that is all the daemons need and the container must not grow
 // external dependencies.
 type Registry struct {
@@ -117,60 +118,107 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return &c.Counter
 }
 
-// CounterVec is a family of counters keyed by one label value.
-type CounterVec struct {
-	name, help, label string
-	mu                sync.Mutex
-	children          map[string]*Counter
+// labelled is the child map behind CounterVec and HistogramVec: one
+// child per distinct tuple of label values, created on first use.
+type labelled[T any] struct {
+	name, help string
+	labels     []string
+	newChild   func() T
+	mu         sync.Mutex
+	children   map[string]*child[T]
 }
 
-// NewCounterVec registers and returns a one-label counter family.
-func (r *Registry) NewCounterVec(name, help, label string) *CounterVec {
-	v := &CounterVec{name: name, help: help, label: label, children: make(map[string]*Counter)}
+// child is one labelled sample: its label values and its metric.
+type child[T any] struct {
+	values []string
+	m      T
+}
+
+// newLabelled parses the comma-separated label names of a family.
+func newLabelled[T any](name, help, labels string, newChild func() T) labelled[T] {
+	return labelled[T]{name: name, help: help, labels: strings.Split(labels, ","),
+		newChild: newChild, children: make(map[string]*child[T])}
+}
+
+// with returns the child for the given label values, creating it on
+// first use. It panics when the value count does not match the family's
+// label count.
+func (v *labelled[T]) with(values []string) T {
+	if len(values) != len(v.labels) {
+		panic(fmt.Sprintf("obsv: %s takes %d label values, got %d", v.name, len(v.labels), len(values)))
+	}
+	key := values[0]
+	if len(values) > 1 {
+		key = strings.Join(values, "\x00")
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c, ok := v.children[key]
+	if !ok {
+		c = &child[T]{values: append([]string(nil), values...), m: v.newChild()}
+		v.children[key] = c
+	}
+	return c.m
+}
+
+// sorted returns the children in label-value order, compared label by
+// label; the caller holds v.mu.
+func (v *labelled[T]) sorted() []*child[T] {
+	out := make([]*child[T], 0, len(v.children))
+	for _, c := range v.children {
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i].values, out[j].values) < 0 })
+	return out
+}
+
+// pairs renders a child's label set as `a="x",b="y"`.
+func (v *labelled[T]) pairs(c *child[T]) string {
+	var sb strings.Builder
+	for i, l := range v.labels {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "%s=\"%s\"", l, escapeLabel(c.values[i]))
+	}
+	return sb.String()
+}
+
+// CounterVec is a family of counters keyed by one or more label values.
+type CounterVec struct {
+	labelled[*Counter]
+}
+
+// NewCounterVec registers and returns a counter family; labels is a
+// comma-separated list of label names ("route", "tenant,reason").
+func (r *Registry) NewCounterVec(name, help, labels string) *CounterVec {
+	v := &CounterVec{newLabelled(name, help, labels, func() *Counter { return &Counter{} })}
 	r.add(v)
 	return v
 }
 
-// With returns the counter for the given label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c, ok := v.children[value]
-	if !ok {
-		c = &Counter{}
-		v.children[value] = c
-	}
-	return c
-}
+// With returns the counter for the given label values, one per label
+// name in order, creating it on first use.
+func (v *CounterVec) With(values ...string) *Counter { return v.with(values) }
 
-// Snapshot returns the current label → count mapping.
+// Snapshot returns the current count per child, keyed by its label
+// values joined with commas.
 func (v *CounterVec) Snapshot() map[string]int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := make(map[string]int64, len(v.children))
-	for k, c := range v.children {
-		out[k] = c.Value()
+	for _, c := range v.children {
+		out[strings.Join(c.values, ",")] = c.m.Value()
 	}
 	return out
-}
-
-// sortedKeys returns the child label values in deterministic order.
-func (v *CounterVec) sortedKeys() []string {
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func (v *CounterVec) render(w io.Writer) {
 	header(w, v.name, v.help, "counter")
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, k := range v.sortedKeys() {
-		fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", v.name, v.label, escapeLabel(k), v.children[k].Value())
+	for _, c := range v.sorted() {
+		fmt.Fprintf(w, "%s{%s} %d\n", v.name, v.pairs(c), c.m.Value())
 	}
 }
 
@@ -221,13 +269,13 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// writeSamples renders the _bucket/_sum/_count lines with an optional
-// label pair (empty label renders unlabeled samples).
-func (h *Histogram) writeSamples(w io.Writer, name, label, value string) {
+// writeSamples renders the _bucket/_sum/_count lines under the given
+// rendered label pairs (empty renders unlabeled samples).
+func (h *Histogram) writeSamples(w io.Writer, name, pairs string) {
 	var cum int64
-	labelPrefix := ""
-	if label != "" {
-		labelPrefix = fmt.Sprintf("%s=\"%s\",", label, escapeLabel(value))
+	labelPrefix, labelSet := "", ""
+	if pairs != "" {
+		labelPrefix, labelSet = pairs+",", "{"+pairs+"}"
 	}
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
@@ -235,13 +283,8 @@ func (h *Histogram) writeSamples(w io.Writer, name, label, value string) {
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labelPrefix, cum)
-	if label != "" {
-		fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %s\n", name, label, escapeLabel(value), formatFloat(h.Sum()))
-		fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", name, label, escapeLabel(value), h.Count())
-		return
-	}
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelSet, formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labelSet, h.Count())
 }
 
 // namedHistogram is a registry-owned unlabeled histogram.
@@ -252,7 +295,7 @@ type namedHistogram struct {
 
 func (h *namedHistogram) render(w io.Writer) {
 	header(w, h.name, h.help, "histogram")
-	h.writeSamples(w, h.name, "", "")
+	h.writeSamples(w, h.name, "")
 }
 
 // NewHistogram registers and returns an unlabeled fixed-bucket histogram.
@@ -262,45 +305,30 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 	return h.Histogram
 }
 
-// HistogramVec is a family of fixed-bucket histograms keyed by one label.
+// HistogramVec is a family of fixed-bucket histograms keyed by one or
+// more label values.
 type HistogramVec struct {
-	name, help, label string
-	bounds            []float64
-	mu                sync.Mutex
-	children          map[string]*Histogram
+	labelled[*Histogram]
 }
 
-// NewHistogramVec registers and returns a one-label histogram family.
-func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	v := &HistogramVec{name: name, help: help, label: label, bounds: bounds, children: make(map[string]*Histogram)}
+// NewHistogramVec registers and returns a histogram family; labels is a
+// comma-separated list of label names ("route", "experiment,arm").
+func (r *Registry) NewHistogramVec(name, help, labels string, bounds []float64) *HistogramVec {
+	v := &HistogramVec{newLabelled(name, help, labels, func() *Histogram { return newHistogram(bounds) })}
 	r.add(v)
 	return v
 }
 
-// With returns the histogram for the given label value, creating it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[value]
-	if !ok {
-		h = newHistogram(v.bounds)
-		v.children[value] = h
-	}
-	return h
-}
+// With returns the histogram for the given label values, one per label
+// name in order, creating it on first use.
+func (v *HistogramVec) With(values ...string) *Histogram { return v.with(values) }
 
 func (v *HistogramVec) render(w io.Writer) {
 	header(w, v.name, v.help, "histogram")
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v.children[k].writeSamples(w, v.name, v.label, k)
+	for _, c := range v.sorted() {
+		c.m.writeSamples(w, v.name, v.pairs(c))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -171,6 +172,97 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if math.Abs(h.Sum()-4.0) > 1e-6 {
 		t.Errorf("Sum = %g, want 4", h.Sum())
+	}
+}
+
+// TestCounterVec2Render renders a two-label counter family: every label
+// pair in name order on each sample, children sorted label by label.
+func TestCounterVec2Render(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("gw_shed_total", "Shed requests.", "tenant,reason")
+	v.With("acme", "rate").Add(3)
+	v.With("acme", "inflight").Inc()
+	v.With("beta", "rate").Inc()
+	out := render(r)
+	for _, want := range []string{
+		"# TYPE gw_shed_total counter",
+		`gw_shed_total{tenant="acme",reason="rate"} 3`,
+		`gw_shed_total{tenant="acme",reason="inflight"} 1`,
+		`gw_shed_total{tenant="beta",reason="rate"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	// Deterministic order: acme/inflight sorts before acme/rate.
+	if strings.Index(out, `tenant="acme",reason="inflight"`) > strings.Index(out, `tenant="acme",reason="rate"`) {
+		t.Errorf("children not sorted:\n%s", out)
+	}
+	if snap := v.Snapshot(); snap["acme,rate"] != 3 {
+		t.Errorf("snapshot = %v", snap)
+	}
+}
+
+// TestHistogramVec2Render renders a two-label histogram family: the le
+// label follows the family's labels on every bucket sample.
+func TestHistogramVec2Render(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewHistogramVec("gw_arm_latency_seconds", "Per-arm latency.", "experiment,arm", []float64{0.1, 1})
+	v.With("exp1", "incumbent").Observe(0.05)
+	v.With("exp1", "incumbent").Observe(0.5)
+	v.With("exp1", "candidate").Observe(2)
+	out := render(r)
+	for _, want := range []string{
+		"# TYPE gw_arm_latency_seconds histogram",
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="incumbent",le="0.1"} 1`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="incumbent",le="1"} 2`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="incumbent",le="+Inf"} 2`,
+		`gw_arm_latency_seconds_count{experiment="exp1",arm="incumbent"} 2`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="candidate",le="1"} 0`,
+		`gw_arm_latency_seconds_bucket{experiment="exp1",arm="candidate",le="+Inf"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestLabelledVecConcurrent hammers one multi-label child of each family
+// from several goroutines while the registry renders.
+func TestLabelledVecConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.NewCounterVec("c", "h", "a,b")
+	h := reg.NewHistogramVec("hh", "h", "a,b", LatencyBuckets())
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				c.With("x", "y").Inc()
+				h.With("x", "y").Observe(0.01)
+			}
+		}()
+	}
+	render(reg)
+	wg.Wait()
+	if got := c.With("x", "y").Value(); got != 1600 {
+		t.Fatalf("count = %d, want 1600", got)
+	}
+	if got := h.With("x", "y").Count(); got != 1600 {
+		t.Fatalf("observations = %d, want 1600", got)
+	}
+}
+
+// TestLabelledVecKeysDoNotCollide: label values containing the snapshot
+// separator still name distinct children.
+func TestLabelledVecKeysDoNotCollide(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("c_total", "counts", "a,b")
+	v.With("x,y", "z").Inc()
+	v.With("x", "y,z").Add(2)
+	if got := v.With("x,y", "z").Value(); got != 1 {
+		t.Fatalf("child (x,y | z) = %d, want 1", got)
 	}
 }
 

@@ -18,7 +18,9 @@ func (t *Tree) KNN(q []float64, k int, metric vec.Metric, counters *stats.Counte
 	if k < 1 {
 		panic(fmt.Sprintf("rplus: KNN with k=%d", k))
 	}
-	best := join.NewMaxHeap(k)
+	// The heap never holds more than the tree's points, so a huge k
+	// costs no more than k = N.
+	best := join.NewMaxHeap(max(1, min(k, t.ds.Len())))
 	var visits, comps int64
 	var rec func(n *node)
 	rec = func(n *node) {

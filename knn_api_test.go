@@ -2,6 +2,7 @@ package simjoin
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -77,5 +78,35 @@ func TestKNNJoinErrors(t *testing.T) {
 	}
 	if _, err := KNNJoin(a, a, 0, 1, L2); err == nil {
 		t.Error("k=0 accepted")
+	}
+}
+
+// TestNeighborIndexKNNHugeK: a k far beyond the point count answers
+// with every point and allocates no more than k = N would — the search
+// heap is sized by the tree, not by the request. KNNJoin runs the same
+// bound through the R-tree.
+func TestNeighborIndexKNNHugeK(t *testing.T) {
+	ds := FromPoints([][]float64{{0, 0}, {1, 0}, {0, 2}})
+	idx := NewNeighborIndex(ds)
+	for name, knn := range map[string]func() int{
+		"NeighborIndex.KNN": func() int { return len(idx.KNN([]float64{0, 0}, 1<<20, L2)) },
+		"KNNJoin": func() int {
+			rows, err := KNNJoin(FromPoints([][]float64{{0, 0}}), ds, 1<<20, 1, L2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(rows[0])
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := knn()
+		runtime.ReadMemStats(&after)
+		if n != 3 {
+			t.Errorf("%s(k=1<<20) on 3 points returned %d neighbors, want 3", name, n)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s(k=1<<20) on 3 points allocated %d bytes, want < 1 MiB", name, d)
+		}
 	}
 }
